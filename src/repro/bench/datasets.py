@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.config import BENCH_SCALE, ScaleProfile
 from repro.costs.metrics import DatasetMetrics
-from repro.indexing.registry import ALL_STRATEGY_NAMES
 from repro.query.pattern import Query
 from repro.query.workload import workload
 from repro.warehouse import Warehouse
@@ -84,12 +83,6 @@ class ExperimentContext:
                         "backend": backend},
                 include_words=include_words)
         return self._indexes[key]
-
-    def all_indexes(self, include_words: bool = True,
-                    ) -> Dict[str, BuiltIndex]:
-        """All four strategies' indexes, built as needed."""
-        return {name: self.index(name, include_words)
-                for name in ALL_STRATEGY_NAMES}
 
     # -- workload runs ------------------------------------------------------------
 

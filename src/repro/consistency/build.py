@@ -269,13 +269,3 @@ class BuildCoordinator:
         committed = yield from self.manifest.commit(record, expected_epoch)
         yield from self.manifest.clear_pending(self.plan.name)
         return committed
-
-    # -- inventories (shared with the scrubber) ----------------------------
-
-    def load_inventory(self, logical: str,
-                       ) -> Generator[Any, Any, Dict[str, List[str]]]:
-        """Read one table's committed inventory back from S3."""
-        data = yield from self._cloud.resilient.s3.get(
-            META_BUCKET,
-            inventory_key(self.plan.name, self.plan.epoch, logical))
-        return json.loads(data.decode("utf-8"))

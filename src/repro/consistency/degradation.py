@@ -12,19 +12,17 @@ is usable.  A candidate is passed over when
   dropped table.
 
 Every downgrade is metered under the cost-invisible ``consistency``
-pseudo-service and counted in the health registry, so monitoring and
-the cost model both show what degraded mode actually cost — the full
-scan's extra S3 traffic is billed by S3 itself, exactly like the
-paper's no-index baseline.
+pseudo-service and counted on the ``downgrades_total`` registry
+counter, so monitoring and the cost model both show what degraded mode
+actually cost — the full scan's extra S3 traffic is billed by S3
+itself, exactly like the paper's no-index baseline.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Dict, Generator, List, Optional, Sequence
 
 from repro.cloud.provider import CloudProvider
-from repro.deprecations import warn_deprecated
 from repro.errors import ConfigError, EncodingError, IntegrityError, \
     NoSuchTable, RegionUnavailable
 from repro.indexing.lookup_plans import BaseLookup, LookupOutcome
@@ -44,8 +42,6 @@ class HealthRegistry:
 
     def __init__(self) -> None:
         self._states: Dict[str, str] = {}
-        #: Downgrades per resolution actually used after falling back.
-        self.downgrades: Counter = Counter()
 
     def mark(self, physical_table: str, state: str) -> None:
         """Set one table's state; "healthy" clears the record."""
@@ -67,17 +63,6 @@ class HealthRegistry:
     def suspect_tables(self) -> Dict[str, str]:
         """All non-healthy tables and their states, sorted."""
         return dict(sorted(self._states.items()))
-
-    def downgrade_counts(self) -> Dict[str, int]:
-        """Downgrades per resolution used, sorted.
-
-        Deprecated: read the ``downgrades_total`` counter off the
-        deployment's :class:`~repro.telemetry.registry.MetricsRegistry`
-        instead (see the migration table in DESIGN.md section 12).
-        """
-        warn_deprecated("downgrade-counts")
-        return {name: self.downgrades[name]
-                for name in sorted(self.downgrades)}
 
 
 class DegradingLookup(BaseLookup):
@@ -167,7 +152,6 @@ class DegradingLookup(BaseLookup):
         self.resolutions_used.append(name)
         if (self._candidates
                 and name != self._candidates[0].strategy.name):
-            self._health.downgrades[name] += 1
             hub = getattr(self._cloud.env, "telemetry", None)
             if hub is not None:
                 hub.counter(

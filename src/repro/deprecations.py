@@ -2,7 +2,8 @@
 
 Every backwards-compatibility shim in the codebase funnels through
 :func:`warn_deprecated` with a key registered in :data:`DEPRECATIONS`.
-This buys two guarantees cheaply:
+An empty registry means no shim is live; the machinery stays so that
+any future deprecation keeps two guarantees cheaply:
 
 * the test suite can run *warning-clean* — ``pyproject.toml`` escalates
   :class:`ReproDeprecationWarning` (and only it — third-party
@@ -31,68 +32,7 @@ class ReproDeprecationWarning(DeprecationWarning):
 
 #: key -> (old spelling, replacement).  The old spelling must appear
 #: verbatim in the DESIGN.md migration table (section 12).
-DEPRECATIONS: Dict[str, Tuple[str, str]] = {
-    "warehouse-visibility-timeout": (
-        "Warehouse(visibility_timeout=...)",
-        "DeploymentConfig(visibility_timeout=...)"),
-    "warehouse-store-config": (
-        "Warehouse(store_config=...)",
-        "DeploymentConfig(shards=..., cache_bytes=...)"),
-    "build-instances": (
-        "build_index(instances=...)",
-        "DeploymentConfig.loaders (config={'loaders': n})"),
-    "build-instance-type": (
-        "build_index(instance_type=...)",
-        "DeploymentConfig.loader_type (config={'loader_type': t})"),
-    "build-batch-size": (
-        "build_index(batch_size=...)",
-        "DeploymentConfig.batch_size (config={'batch_size': n})"),
-    "build-backend": (
-        "build_index(backend=...)",
-        "DeploymentConfig.backend (config={'backend': b})"),
-    "workload-instances": (
-        "run_workload(instances=...)",
-        "DeploymentConfig.workers (config={'workers': n})"),
-    "workload-instance-type": (
-        "run_workload(instance_type=...)",
-        "DeploymentConfig.worker_type (config={'worker_type': t})"),
-    "serve-instances": (
-        "serve(instances=...)",
-        "DeploymentConfig.workers (config={'workers': n})"),
-    "serve-instance-type": (
-        "serve(instance_type=...)",
-        "DeploymentConfig.worker_type (config={'worker_type': t})"),
-    "degraded-instances": (
-        "run_degraded_workload(instances=...)",
-        "DeploymentConfig.workers (config={'workers': n})"),
-    "degraded-instance-type": (
-        "run_degraded_workload(instance_type=...)",
-        "DeploymentConfig.worker_type (config={'worker_type': t})"),
-    "ingest-instances": (
-        "ingest_increment(instances=...)",
-        "DeploymentConfig.loaders (config={'loaders': n})"),
-    "ingest-instance-type": (
-        "ingest_increment(instance_type=...)",
-        "DeploymentConfig.loader_type (config={'loader_type': t})"),
-    "ingest-batch-size": (
-        "ingest_increment(batch_size=...)",
-        "DeploymentConfig.batch_size (config={'batch_size': n})"),
-    "frontend-submit-query": (
-        "Frontend.submit_query(text, name=..., degraded=...)",
-        "Frontend.submit(repro.tenancy.QueryRequest(...))"),
-    "parse-tag": (
-        "repro.telemetry.parse_tag(tag)",
-        "Attribution.from_tag(tag)"),
-    "fault-counts": (
-        "FaultDomain.fault_counts()",
-        "MetricsRegistry counter 'faults_injected_total'"),
-    "retry-counts": (
-        "ResilientClient.retry_counts()",
-        "MetricsRegistry counter 'retries_total'"),
-    "downgrade-counts": (
-        "HealthRegistry.downgrade_counts()",
-        "MetricsRegistry counter 'downgrades_total'"),
-}
+DEPRECATIONS: Dict[str, Tuple[str, str]] = {}
 
 
 def warn_deprecated(key: str, stacklevel: int = 3) -> None:

@@ -198,15 +198,6 @@ class QueryLookupOutcome:
     per_pattern: List[LookupOutcome]
 
     @property
-    def union_uris(self) -> List[str]:
-        """Distinct URIs across all patterns, sorted."""
-        seen: Dict[str, None] = {}
-        for outcome in self.per_pattern:
-            for uri in outcome.uris:
-                seen.setdefault(uri, None)
-        return sorted(seen)
-
-    @property
     def total_document_ids(self) -> int:
         """Table 5 convention: "for queries featuring value joins,
         Table 5 sums the numbers of document IDs retrieved for each

@@ -18,7 +18,6 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Callable, Dict, Generator, Optional
 
-from repro.deprecations import warn_deprecated
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.retry import RetryPolicy, is_retryable
 from repro.sim import Environment, Meter
@@ -54,8 +53,6 @@ class ResilientClient:
         self._breaker_reset_timeout_s = breaker_reset_timeout_s
         self._breakers: Dict[str, CircuitBreaker] = {}
         self._rngs: Dict[str, Any] = {}
-        #: Retries performed, keyed by service.
-        self.retries: Counter = Counter()
         #: Calls that exhausted every attempt, keyed by service.
         self.exhausted: Counter = Counter()
 
@@ -109,7 +106,6 @@ class ResilientClient:
                 if attempt >= self._policy.max_attempts:
                     self.exhausted[service] += 1
                     raise
-                self.retries[service] += 1
                 hub = getattr(self._env, "telemetry", None)
                 if hub is not None:
                     hub.counter(
@@ -123,17 +119,6 @@ class ResilientClient:
                 continue
             breaker.record_success()
             return result
-
-    def retry_counts(self) -> Dict[str, int]:
-        """Retries per service, sorted by service name.
-
-        Deprecated: read the ``retries_total`` counter off the
-        deployment's :class:`~repro.telemetry.registry.MetricsRegistry`
-        instead (see the migration table in DESIGN.md section 12).
-        """
-        warn_deprecated("retry-counts")
-        return {service: self.retries[service]
-                for service in sorted(self.retries)}
 
 
 class ServiceProxy:

@@ -28,7 +28,6 @@ the report's request dollars are attributable to the last float bit.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from typing import Any, Dict, Generator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.costs.estimator import phase_cost
@@ -59,8 +58,6 @@ COMPLETION_POLL_S = 0.25
 #: seconds).  Bookkeeping only — no metered requests.
 DISPATCH_POLL_S = 0.05
 
-_serve_serials = itertools.count(1)
-
 
 class ServingRuntime:
     """Orchestrates one open-workload serving run."""
@@ -82,7 +79,7 @@ class ServingRuntime:
         self.background = list(background or [])
         self.strategy_name = index.strategy.name if index else "none"
         self.tag = tag or "serve:{}:{}:{}".format(
-            self.strategy_name, profile.arrival, next(_serve_serials))
+            self.strategy_name, profile.arrival, next(warehouse._serve_ids))
         self.tenancy = getattr(deployment, "tenancy", None)
         if queries is not None:
             self._queries: Dict[str, Query] = dict(queries)

@@ -45,8 +45,3 @@ class StoreConfig:
     def cache_enabled(self) -> bool:
         """Whether a read cache should be attached at all."""
         return self.cache_bytes > 0
-
-    @property
-    def is_default(self) -> bool:
-        """Whether this configuration preserves seed behaviour exactly."""
-        return self.shards == 1 and not self.cache_enabled

@@ -5,10 +5,9 @@ One registry per deployment (created by the
 scattered ad-hoc counters of earlier PRs migrate onto: fault-injection
 counts, retry/exhaustion counts, SQS redelivery and dead-letter counts,
 DynamoDB throttle rejections, degradation downgrades, and the meter's
-per-(service, operation) request volumes.  The legacy accessors
-(``FaultDomain.fault_counts``, ``ResilientClient.retry_counts``,
-``HealthRegistry.downgrade_counts``, ...) remain as deprecation shims
-over the same underlying counts.
+per-(service, operation) request volumes.  The registry is the only
+home of the fault, retry and downgrade counts: the objects that raise
+them keep no per-object copy.
 
 Shape follows the Prometheus client conventions — named metrics with a
 fixed tuple of label names, child series per label-value combination —
@@ -306,11 +305,10 @@ def counter_dict(registry: Optional["MetricsRegistry"],
                  name: str) -> Dict[str, int]:
     """One counter's series as ``{"label1[:label2...]": int}``.
 
-    The migration shape for the retired per-object accessors
-    (``FaultDomain.fault_counts`` and friends): colon-joined label
-    values keyed to integer counts, sorted by label values.  Returns an
-    empty dict when the registry is missing or the counter was never
-    incremented.
+    Colon-joined label values keyed to integer counts, sorted by label
+    values (``counter_dict(registry, "retries_total")`` ->
+    ``{"dynamodb": 3}``).  Returns an empty dict when the registry is
+    missing or the counter was never incremented.
     """
     metric = registry.get(name) if registry is not None else None
     if not isinstance(metric, Counter):

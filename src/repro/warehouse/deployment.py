@@ -20,9 +20,9 @@ Construction paths:
   applied to the warehouse's own deployment
   (``build_index("2LUPI", config={"loaders": 4})``).
 
-The old per-method kwargs keep working behind
-:class:`~repro.deprecations.ReproDeprecationWarning` shims; the
-migration table lives in DESIGN.md section 12.
+``config=`` is the only way to set a deployment value on these
+methods; DESIGN.md section 12 lists the removed per-method keywords
+and their replacements.
 """
 
 from __future__ import annotations

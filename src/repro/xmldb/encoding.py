@@ -79,19 +79,6 @@ def encode_ids(ids: Sequence[NodeID]) -> bytes:
     return bytes(out)
 
 
-def decode_ids_block(data: bytes):
-    """Decode bytes produced by :func:`encode_ids` to a columnar block.
-
-    Returns a lazy :class:`~repro.xmldb.blocks.IDBlock`: only the count
-    varint is read now, the (pre, post, depth) columns inflate on first
-    access.  This is the columnar engine's fast path from index bytes
-    to join input — no NodeIDs are materialised.
-    """
-    from repro.xmldb.blocks import IDBlock
-
-    return IDBlock.from_encoded(data)
-
-
 def decode_ids(data: bytes) -> List[NodeID]:
     """Decode bytes produced by :func:`encode_ids`."""
     count, pos = _read_varint(data, 0)

@@ -6,12 +6,17 @@ from repro.config import ScaleProfile
 from repro.consistency.degradation import FULL_SCAN
 from repro.faults.scenarios import _workload_answers
 from repro.query.workload import workload_query
+from repro.telemetry import counter_dict
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
 DOCUMENTS = 12
 SEED = 7
 QUERIES = ("q1", "q2")
+
+
+def downgrades(warehouse):
+    return counter_dict(warehouse.telemetry.registry, "downgrades_total")
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +47,7 @@ def test_healthy_chain_uses_the_primary(setup):
 @pytest.mark.scrub
 def test_suspect_primary_falls_back_and_is_metered(setup):
     warehouse, primary, fallback, queries, baseline = setup
-    before = dict(warehouse.health.downgrades)
+    before = downgrades(warehouse)
     for table in primary.physical_tables:
         warehouse.health.mark(table, "suspect")
     try:
@@ -54,7 +59,7 @@ def test_suspect_primary_falls_back_and_is_metered(setup):
         assert all(e.index_mode == fallback.strategy.name
                    for e in report.executions)
         # ...and every downgrade is accounted for.
-        after = warehouse.health.downgrades
+        after = downgrades(warehouse)
         assert after.get("LU", 0) > before.get("LU", 0)
         downgrade_records = [
             r for r in warehouse.cloud.meter.records("consistency")
@@ -79,7 +84,7 @@ def test_nothing_usable_degrades_to_full_scan(setup):
         # paper's no-index baseline.
         assert _workload_answers(warehouse, report) == baseline
         assert all(e.index_mode == FULL_SCAN for e in report.executions)
-        assert warehouse.health.downgrades.get(FULL_SCAN, 0) > 0
+        assert downgrades(warehouse).get(FULL_SCAN, 0) > 0
     finally:
         for table in marked:
             warehouse.health.mark(table, "healthy")

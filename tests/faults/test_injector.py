@@ -2,15 +2,15 @@
 
 import pytest
 
-from repro.deprecations import ReproDeprecationWarning
-
 from repro.errors import ThroughputExceeded, TransientServiceError
 from repro.faults import FaultDomain, FaultInjector, FaultPlan
 from repro.sim import Environment, Meter
+from repro.telemetry import TelemetryHub, counter_dict
 
 
 def make_injector(plan, service="s3", env=None, meter=None):
     env = env or Environment()
+    TelemetryHub.for_env(env)  # the registry owns the fault counts
     meter = meter or Meter()
     return FaultInjector(service, plan.specs_for(service), env, meter,
                          plan.seed), env, meter
@@ -32,7 +32,8 @@ def test_error_fault_raises_and_bills_the_failed_attempt():
     assert meter.request_count("s3", "get") == 1
     # ...and the fault event is recorded under the pseudo-service.
     assert meter.request_count("faults", "s3:error") == 1
-    assert injector.counts["error"] == 1
+    registry = TelemetryHub.for_env(env).registry
+    assert counter_dict(registry, "faults_injected_total")["s3:error"] == 1
 
 
 def test_throttle_fault_bills_nothing():
@@ -116,8 +117,6 @@ def test_fault_counts_and_events_merge_across_services():
     with pytest.raises(TransientServiceError):
         drive(env, domain.injector_for("s3").perturb("get"))
     drive(env, domain.injector_for("sqs").perturb("send"))
-    with pytest.warns(ReproDeprecationWarning, match="faults_injected_total"):
-        assert domain.fault_counts() == {"s3:error": 1, "sqs:latency": 1}
     events = domain.events()
     assert [e.kind for e in events] == ["error", "latency"]
     assert events[0].time <= events[1].time

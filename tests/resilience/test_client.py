@@ -6,10 +6,12 @@ from repro.errors import TransientServiceError, ValidationError
 from repro.resilience import (RESILIENCE_SERVICE, ResilientClient,
                               ResilientServices, RetryPolicy, ServiceProxy)
 from repro.sim import Environment, Meter
+from repro.telemetry import TelemetryHub, counter_dict
 
 
 def make_client(env=None, meter=None, **policy_kwargs):
     env = env or Environment()
+    TelemetryHub.for_env(env)  # the registry owns the retry counts
     meter = meter or Meter()
     policy_kwargs.setdefault("base_delay_s", 0.01)
     policy_kwargs.setdefault("max_delay_s", 0.1)
@@ -45,7 +47,8 @@ def test_succeeds_after_transient_failures():
     op = FlakyOp(failures=2)
     assert run_call(client, env, "s3", "get", op) == "ok"
     assert op.attempts == 3
-    assert client.retries == {"s3": 2}
+    registry = TelemetryHub.for_env(env).registry
+    assert counter_dict(registry, "retries_total") == {"s3": 2}
     # Each retry waits a positive backoff delay on the simulated clock...
     assert env.now > 0.0
     # ...and is metered under the cost-invisible pseudo-service.

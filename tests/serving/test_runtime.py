@@ -142,7 +142,7 @@ class TestAdmissionControl:
 
 
 class TestDeterminism:
-    def _run(self):
+    def _run(self, tag="serve:golden"):
         warehouse = _warehouse()
         index = warehouse.build_index("LUI")
         report = warehouse.serve(
@@ -151,9 +151,16 @@ class TestDeterminism:
             config={"autoscale": AutoscalePolicy(min_workers=1,
                                                  max_workers=3,
                                                  tick_s=2.0)},
-            tag="serve:golden")
+            tag=tag)
         trace = chrome_trace_json(warehouse.telemetry.tracer)
         return report, trace
+
+    def test_default_tag_is_per_warehouse(self):
+        first, _ = self._run(tag=None)
+        second, _ = self._run(tag=None)
+        assert first.tag == second.tag == "serve:LUI:burst:1"
+        assert json.dumps(first.to_dict(), sort_keys=True) == \
+            json.dumps(second.to_dict(), sort_keys=True)
 
     def test_same_seed_is_byte_identical(self):
         first, first_trace = self._run()

@@ -17,6 +17,7 @@ from repro.faults import FaultPlan
 from repro.indexing.entries import IndexEntry
 from repro.indexing.mapper import DynamoIndexStore
 from repro.store import StoreConfig, StoreRouter
+from repro.telemetry import counter_dict
 
 pytestmark = pytest.mark.store
 
@@ -294,11 +295,13 @@ class TestResilienceInterplay:
         data, gets = _read_keys(cloud, router, "idx", keys)
         assert gets == 40
         assert all(set(data[key]) == {"d.xml"} for key in keys)
-        retries_after_read = cloud.resilient.client.retries["dynamodb"]
+        registry = cloud.telemetry.registry
+        retries_after_read = counter_dict(registry,
+                                          "retries_total")["dynamodb"]
         assert retries_after_read > 0
         _, warm_gets = _read_keys(cloud, router, "idx", keys)
         assert warm_gets == 0
-        assert cloud.resilient.client.retries["dynamodb"] == \
+        assert counter_dict(registry, "retries_total")["dynamodb"] == \
             retries_after_read
 
 

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+
+from repro import deprecations
 
 pytestmark = pytest.mark.telemetry
 
@@ -56,13 +59,13 @@ def test_removed_name_is_reported_as_break(tmp_path):
 def test_signature_change_is_reported_as_break(tmp_path):
     with open(SNAPSHOT, "r", encoding="utf-8") as handle:
         surface = json.load(handle)
-    entry = surface["repro.telemetry"]["parse_tag"]
-    entry["parameters"] = ["tag", "span_id", "gone"]
+    entry = surface["repro.telemetry"]["counter_dict"]
+    entry["parameters"] = ["registry", "name", "gone"]
     doctored = tmp_path / "surface.json"
     doctored.write_text(json.dumps(surface))
     proc = run_checker("--snapshot", str(doctored))
     assert proc.returncode == 1
-    assert "parse_tag parameters changed" in proc.stdout
+    assert "counter_dict parameters changed" in proc.stdout
 
 
 def test_additions_do_not_break(tmp_path):
@@ -74,3 +77,23 @@ def test_additions_do_not_break(tmp_path):
     doctored.write_text(json.dumps(surface))
     proc = run_checker("--snapshot", str(doctored))
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def _checker_module():
+    spec = importlib.util.spec_from_file_location("check_api_surface",
+                                                  SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_deprecation_gate_reports_an_undocumented_entry(monkeypatch):
+    checker = _checker_module()
+    assert deprecations.DEPRECATIONS == {}
+    assert checker.find_undocumented_deprecations() == []
+    monkeypatch.setitem(deprecations.DEPRECATIONS, "gate-probe",
+                        ("Warehouse.gate_probe()", "Warehouse.probe()"))
+    problems = checker.find_undocumented_deprecations()
+    assert len(problems) == 2
+    assert all(problem.startswith("gate-probe: ") for problem in problems)
+    assert checker.main(["--deprecations"]) == 1
