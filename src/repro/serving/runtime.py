@@ -450,6 +450,7 @@ class ServingRuntime:
                 if proc.is_alive:
                     yield proc
 
+        mark = len(cloud.meter)
         with warehouse._span("serve", strategy=self.strategy_name,
                              arrival=profile.arrival,
                              rate_qps=profile.rate_qps,
@@ -467,7 +468,7 @@ class ServingRuntime:
         return self._build_report(
             admission, fleet, autoscaler, arrivals, names, fetched,
             degraded_ids, stats_sink, start_at, end_at,
-            redelivered_before, serve_span, initial,
+            redelivered_before, serve_span, initial, mark,
             spot_market=spot_market, controller=controller,
             replicator=replicator, switch=switch,
             outage_retries=int(retries), tenants=tenants)
@@ -481,7 +482,7 @@ class ServingRuntime:
                       stats_sink: Dict[int, QueryWorkStats],
                       start_at: float, end_at: float,
                       redelivered_before: int, serve_span: Optional[Any],
-                      initial: int,
+                      initial: int, mark: int,
                       spot_market: Optional[Any] = None,
                       controller: Optional[Any] = None,
                       replicator: Optional[Any] = None,
@@ -498,8 +499,11 @@ class ServingRuntime:
         trace = hub.tracer if hub is not None else None
         inclusive: Dict[int, Any] = {}
         if trace is not None:
+            # The serve span opened after ``mark``: every record in its
+            # subtree is in the meter's tail, so only the tail is priced.
             from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(trace, cloud.meter, book)
+            inclusive = span_inclusive_costs(trace, cloud.meter.since(mark),
+                                             book)
 
         latencies = [fetched[qid] - arrivals[qid] for qid in sorted(fetched)]
         duration = (max(fetched.values()) - start_at) if fetched \

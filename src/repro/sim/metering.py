@@ -144,6 +144,16 @@ class Meter:
     def __iter__(self) -> Iterator[MeterRecord]:
         return iter(self._records)
 
+    def since(self, mark: int) -> List[MeterRecord]:
+        """The records appended after the meter held ``mark`` records.
+
+        Take ``mark = len(meter)`` before an activity starts; afterwards
+        ``since(mark)`` is that activity's tail, in meter order.  The
+        result is a copy.  A mark beyond the meter's length (one taken
+        before :meth:`clear`) yields ``[]``.
+        """
+        return self._records[mark:]
+
     def records(self, service: Optional[str] = None,
                 operation: Optional[str] = None,
                 tag: Optional[str] = None,

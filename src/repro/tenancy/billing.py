@@ -18,6 +18,7 @@ drag the cost model in at import time.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -120,6 +121,14 @@ def tenant_costs(tracer: Any, meter: Any, book: Any,
     return out
 
 
+def _fold(values: List[float]) -> float:
+    """The ordered left fold ``sum`` performs."""
+    folded = 0.0
+    for value in values:
+        folded += value
+    return folded
+
+
 def reconcile(parts: List[Tuple[str, float]], target: float,
               ) -> Dict[str, float]:
     """Adjust the last part so the ordered left fold equals ``target``.
@@ -132,20 +141,26 @@ def reconcile(parts: List[Tuple[str, float]], target: float,
     residue is folded into the final part (the ``shared`` bucket, which
     absorbs unattributed spend anyway).  The nudge loop converges in a
     couple of iterations; each step moves the last part by exactly the
-    observed fold error.
+    observed fold error.  When the needed value lies between two nudges
+    (the nudge then flips back and forth by two ulps of the last part),
+    the last part walks toward the target one ulp at a time.
     """
     if not parts:
         return {}
     keys = [key for key, _ in parts]
     values = [value for _, value in parts]
     for _ in range(_RECONCILE_ATTEMPTS):
-        folded = 0.0
-        for value in values:
-            folded += value
-        error = target - folded
+        error = target - _fold(values)
         if error == 0.0:
             break
         values[-1] += error
+    else:
+        for _ in range(_RECONCILE_ATTEMPTS):
+            folded = _fold(values)
+            if folded == target:
+                break
+            values[-1] = math.nextafter(
+                values[-1], math.inf if folded < target else -math.inf)
     # ``+ 0.0`` normalises a nudged ``-0.0`` without changing any sum.
     return {key: value + 0.0 for key, value in zip(keys, values)}
 
@@ -175,10 +190,9 @@ class SpendTracker:
         """Price records appended since the previous refresh."""
         from repro.costs.estimator import price_record
 
-        records = self._meter._records
-        while self._cursor < len(records):
-            record = records[self._cursor]
-            self._cursor += 1
+        records = self._meter.since(self._cursor)
+        self._cursor += len(records)
+        for record in records:
             if self._tag_prefix and \
                     not record.tag.startswith(self._tag_prefix):
                 continue

@@ -1008,6 +1008,7 @@ class Warehouse:
                 yield proc
 
         started_at = self.cloud.env.now
+        mark = len(self.cloud.meter)
         with self._span("workload", strategy=strategy_name,
                         instances=instances,
                         instance_type=instance_type) as workload_span:
@@ -1019,13 +1020,16 @@ class Warehouse:
             started_at=started_at, ended_at=self.cloud.env.now))
 
         # Price every span subtree once; each execution then picks its
-        # own query span's rollup out of the map.
+        # own query span's rollup out of the map.  Only the call's tail
+        # of the meter is priced: every span the call reads opened after
+        # ``mark``, so no earlier record rolls up into one.
         hub = self.telemetry
         trace = hub.tracer if hub is not None else None
         inclusive: Dict[int, Any] = {}
         if trace is not None:
             from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(trace, self.cloud.meter,
+            inclusive = span_inclusive_costs(trace,
+                                             self.cloud.meter.since(mark),
                                              self.cloud.price_book)
 
         executions: List[QueryExecution] = []
@@ -1228,6 +1232,7 @@ class Warehouse:
                       instance_type: str = "l") -> Any:
         """Drive one mutation generator under its phase tag and price it."""
         started_at = self.cloud.env.now
+        mark = len(self.cloud.meter)
         with self.cloud.meter.tagged(tag):
             report = self.cloud.env.run_process(
                 core, name="mutation-{}".format(tag))
@@ -1235,22 +1240,25 @@ class Warehouse:
             tag=tag, instance_type=instance_type, instances=instances,
             started_at=started_at, ended_at=self.cloud.env.now))
         report.tag = tag
-        self._price_mutation(report, tag)
+        self._price_mutation(report, tag, mark)
         return report
 
-    def _price_mutation(self, report: Any, tag: str) -> None:
+    def _price_mutation(self, report: Any, tag: str, mark: int) -> None:
         """Fill a mutation report's span/estimator cost breakdowns.
 
-        ``span_cost`` rolls up every meter record inside the mutation's
-        span subtree (workers spawned under it inherit it); the
-        estimator side prices the phase tag.  The two must agree to the
-        last float bit — the report's ``cost_tied_out``.
+        ``span_cost`` rolls up the meter records appended since
+        ``mark`` inside the mutation's span subtree (workers spawned
+        under it inherit it; the span opened after ``mark``, so no
+        earlier record belongs to it); the estimator side prices the
+        phase tag over the whole meter.  The two must agree to the last
+        float bit — the report's ``cost_tied_out``.
         """
         from repro.costs.estimator import phase_cost
         hub = self.telemetry
         if hub is not None and report.span_id:
             from repro.telemetry.costing import span_inclusive_costs
-            inclusive = span_inclusive_costs(hub.tracer, self.cloud.meter,
+            inclusive = span_inclusive_costs(hub.tracer,
+                                             self.cloud.meter.since(mark),
                                              self.cloud.price_book)
             report.span_cost = inclusive.get(report.span_id)
         report.estimator_cost = phase_cost(self.cloud.meter,

@@ -85,3 +85,19 @@ def test_extend_merges_records():
     target = Meter()
     target.extend(source)
     assert len(target) == 1
+
+
+def test_since_returns_the_tail_as_a_copy():
+    meter = Meter()
+    meter.record(0.0, "s3", "put")
+    mark = len(meter)
+    meter.record(1.0, "s3", "get")
+    meter.record(2.0, "dynamodb", "put", count=25)
+    assert meter.since(0) == list(meter)
+    assert meter.since(len(meter)) == []
+    tail = meter.since(mark)
+    assert [rec.time for rec in tail] == [1.0, 2.0]
+    meter.record(3.0, "s3", "get")
+    assert [rec.time for rec in tail] == [1.0, 2.0]
+    meter.clear()
+    assert meter.since(mark) == []

@@ -5,6 +5,7 @@ import pytest
 from repro.config import ScaleProfile
 from repro.serving import TrafficProfile
 from repro.tenancy import SHARED_TENANT, TenancyConfig, TenantSpec
+from repro.tenancy.billing import reconcile
 from repro.warehouse import Warehouse
 from repro.xmark import generate_corpus
 
@@ -149,3 +150,18 @@ class TestDeterminism:
 
     def test_same_seed_is_byte_identical(self):
         assert self._run() == self._run()
+
+
+def test_reconcile_lands_between_two_nudges():
+    """Bills of a two-tenant serve with a background mutation feed.
+
+    Nudging the shared part by the fold error overshoots by two of its
+    ulps each way here; the exact value lies between the two.
+    """
+    parts = [("alpha", 0.00011455999999999999),
+             ("beta", 0.00011507199999999999),
+             (SHARED_TENANT, 0.00037168399999999984)]
+    target = 0.0006013160000000003
+    bills = reconcile(parts, target)
+    assert sum(bills.values()) == target
+    assert bills["alpha"] == parts[0][1] and bills["beta"] == parts[1][1]
