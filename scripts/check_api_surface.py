@@ -28,6 +28,7 @@ undocumented deprecation fails tier-1.
 from __future__ import annotations
 
 import argparse
+import functools
 import importlib
 import inspect
 import json
@@ -74,7 +75,7 @@ def _class_surface(cls: type) -> Dict[str, Any]:
             member = member.__func__
         if inspect.isfunction(member):
             methods[name] = _parameters(member)
-        elif isinstance(member, property):
+        elif isinstance(member, (property, functools.cached_property)):
             methods[name] = "property"
     return {"kind": "class", "methods": methods}
 

@@ -69,16 +69,23 @@ class DynamoItem:
     range_key: Optional[str]
     attributes: Mapping[str, Tuple[AttrValue, ...]]
 
-    @property
-    def size_bytes(self) -> int:
-        """Billable item size: key bytes plus attribute name/value bytes."""
+    def __post_init__(self) -> None:
+        # Sized once: items are frozen, and every path that changes
+        # stored content (corrupt_attribute included) stores a new
+        # item.  A functools.cached_property would materialise a
+        # per-item __dict__, one more GC-tracked object per stored item.
         size = len(self.hash_key.encode("utf-8"))
         if self.range_key is not None:
             size += len(self.range_key.encode("utf-8"))
         for name, values in self.attributes.items():
             size += len(name.encode("utf-8"))
             size += sum(value_size(v) for v in values)
-        return size
+        object.__setattr__(self, "_size_bytes", size)
+
+    @property
+    def size_bytes(self) -> int:
+        """Billable item size: key bytes plus attribute name/value bytes."""
+        return self._size_bytes
 
 
 @dataclass
@@ -494,7 +501,10 @@ class DynamoDB:
     def corrupt_attribute(self, table_name: str, hash_key: str,
                           range_key: Optional[str], attr: str,
                           byte_index: int = 0, bit: int = 0) -> bool:
-        """Flip one bit of a stored attribute value, in place.
+        """Flip one bit of a stored attribute value.
+
+        The table slot gets a flipped *copy* of the item (items are
+        frozen; their memoised size stays true to their content).
 
         The simulation analogue of silent storage corruption — no
         request, no metering, no latency, invisible until something

@@ -14,6 +14,15 @@ Two consumers, one canonical byte form:
 
 Checksum attributes are named with a ``#`` prefix; readers treat any
 ``#``-prefixed attribute as bookkeeping, never as a document URI.
+Because the canonical form excludes them, one canonical byte string
+serves both the CRC-32 stamp and the SHA-256 range key of an item
+(:func:`canonical_checksum`, :func:`canonical_range_key`).
+
+The canonical form prefixes the hash key with its *character* count
+but attribute names and values with their *byte* counts (the two differ
+for non-ASCII keys).  The asymmetry is frozen: changing it would re-key
+every content-addressed item and change every recorded ledger hash and
+epoch digest.
 """
 
 from __future__ import annotations
@@ -32,12 +41,6 @@ CHECKSUM_ATTR = "#crc"
 META_ATTR_PREFIX = "#"
 
 
-def _value_bytes(value: AttrValue) -> bytes:
-    if isinstance(value, bytes):
-        return value
-    return value.encode("utf-8")
-
-
 def canonical_item_bytes(hash_key: str,
                          attributes: Mapping[str, Tuple[AttrValue, ...]],
                          ) -> bytes:
@@ -48,24 +51,34 @@ def canonical_item_bytes(hash_key: str,
     stamping the checksum itself.  Length-prefixed fields keep the
     encoding injective (no concatenation ambiguity).
     """
-    parts = [b"k", str(len(hash_key)).encode("ascii"), b":",
-             hash_key.encode("utf-8")]
+    parts = [b"k%d:%s" % (len(hash_key), hash_key.encode("utf-8"))]
+    append = parts.append
     for name in sorted(attributes):
         if name.startswith(META_ATTR_PREFIX):
             continue
         encoded = name.encode("utf-8")
-        parts.extend([b"a", str(len(encoded)).encode("ascii"), b":", encoded])
+        append(b"a%d:%s" % (len(encoded), encoded))
         for value in attributes[name]:
-            raw = _value_bytes(value)
-            parts.extend([b"v", str(len(raw)).encode("ascii"), b":", raw])
+            raw = value if isinstance(value, bytes) else value.encode("utf-8")
+            append(b"v%d:%s" % (len(raw), raw))
     return b"".join(parts)
+
+
+def canonical_checksum(canonical: bytes) -> str:
+    """CRC-32 (8 hex digits) of already-built canonical bytes."""
+    return "%08x" % (zlib.crc32(canonical) & 0xFFFFFFFF)
+
+
+def canonical_range_key(canonical: bytes) -> str:
+    """UUID-shaped range key from already-built canonical bytes."""
+    digest = hashlib.sha256(canonical).digest()
+    return str(uuid.UUID(bytes=digest[:16], version=4))
 
 
 def item_checksum(hash_key: str,
                   attributes: Mapping[str, Tuple[AttrValue, ...]]) -> str:
     """CRC-32 (8 hex digits) of the item's canonical bytes."""
-    crc = zlib.crc32(canonical_item_bytes(hash_key, attributes))
-    return "{:08x}".format(crc & 0xFFFFFFFF)
+    return canonical_checksum(canonical_item_bytes(hash_key, attributes))
 
 
 def content_range_key(hash_key: str,
@@ -78,9 +91,7 @@ def content_range_key(hash_key: str,
     primary key — concurrent writers of *different* content still never
     collide, and rewriters of the *same* content overwrite in place.
     """
-    digest = hashlib.sha256(
-        canonical_item_bytes(hash_key, attributes)).digest()
-    return str(uuid.UUID(bytes=digest[:16], version=4))
+    return canonical_range_key(canonical_item_bytes(hash_key, attributes))
 
 
 def batch_content_hash(canonical_forms: Sequence[bytes]) -> str:

@@ -16,10 +16,12 @@ every concrete strategy then projects into its own payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from functools import cached_property
+from typing import Any, Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.indexing.keys import (attribute_key, attribute_value_key,
                                  element_key, text_word_keys)
+from repro.xmldb.encoding import encode_ids
 from repro.xmldb.ids import NodeID
 from repro.xmldb.model import Attribute, Document, Element, Text
 
@@ -48,6 +50,32 @@ class IndexEntry:
         if self.ids:
             return "ids"
         return "presence"
+
+    @cached_property
+    def stored_values(self) -> Tuple[Any, ...]:
+        """The values stored under the URI attribute: one encoded ID
+        blob (ids), the label paths (paths) or nothing (presence).
+
+        Memoised — the entry is frozen, and both the write path and the
+        batch ledger hash need the encoded form.
+        """
+        if self.ids:
+            return (encode_ids(self.ids),)
+        return tuple(self.paths)
+
+
+class StoredEntry(NamedTuple):
+    """A ``(key, URI, stored values)`` triple already in stored form.
+
+    Compaction folds payloads that are already encoded; it hands them
+    to the DynamoDB write path and the ledger hash as-is, which read
+    only ``key``, ``uri`` and ``stored_values`` — the same three names
+    an :class:`IndexEntry` answers to.
+    """
+
+    key: str
+    uri: str
+    stored_values: Tuple[Any, ...]
 
 
 @dataclass

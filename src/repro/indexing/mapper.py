@@ -29,7 +29,8 @@ import abc
 import random
 import uuid
 from dataclasses import dataclass
-from typing import Any, Dict, Generator, Iterable, List, Sequence, Tuple
+from typing import (Any, Dict, Generator, Iterable, List, Mapping, Sequence,
+                    Tuple, Union)
 
 from repro.cloud.dynamodb import (BATCH_GET_LIMIT, BATCH_PUT_LIMIT, DynamoDB,
                                   DynamoItem, MAX_ITEM_BYTES)
@@ -39,9 +40,12 @@ from repro.cloud.simpledb import BATCH_PUT_LIMIT as SDB_BATCH_PUT_LIMIT
 from repro.errors import IndexingError, IntegrityError
 from repro.indexing.checksums import (CHECKSUM_ATTR, META_ATTR_PREFIX,
                                       batch_content_hash,
+                                      canonical_checksum,
                                       canonical_item_bytes,
-                                      content_range_key, item_checksum)
-from repro.indexing.entries import IndexEntry
+                                      canonical_range_key,
+                                      content_range_key,  # noqa: F401
+                                      item_checksum)
+from repro.indexing.entries import IndexEntry, StoredEntry
 from repro.xmldb.blocks import IDBlock
 from repro.xmldb.encoding import decode_ids, decode_ids_text, encode_ids
 from repro.xmldb.ids import NodeID
@@ -120,18 +124,25 @@ class IndexStore(abc.ABC):
 # ---------------------------------------------------------------------------
 
 
-def _encode_payload(entry: IndexEntry) -> Tuple[Any, ...]:
-    if entry.kind == "ids":
-        return (encode_ids(list(entry.ids)),)
-    if entry.kind == "paths":
-        return tuple(entry.paths)
-    return ()
+#: What the DynamoDB write path and the ledger hash accept: an
+#: :class:`IndexEntry` or a :class:`StoredEntry` (both expose ``key``,
+#: ``uri`` and ``stored_values``).
+Stored = Union[IndexEntry, StoredEntry]
 
 
-def batch_entries_hash(extracted: Mapping[str, Sequence[IndexEntry]]) -> str:
+def _values_bytes(values: Tuple[Any, ...]) -> int:
+    """Stored size of one attribute's values."""
+    size = 0
+    for value in values:
+        size += (len(value) if isinstance(value, bytes)
+                 else len(value.encode("utf-8")))
+    return size
+
+
+def batch_entries_hash(extracted: Mapping[str, Sequence[Stored]]) -> str:
     """Content hash of one loader batch's extracted entries.
 
-    Hashes the encoded payloads (what actually lands in the store), per
+    Hashes the stored values (what actually lands in the store), per
     logical table in sorted order — the value the batch ledger records.
     Extraction is deterministic, so a redelivered batch always hashes
     identically; a mismatch in the ledger means a determinism bug, not
@@ -142,7 +153,7 @@ def batch_entries_hash(extracted: Mapping[str, Sequence[IndexEntry]]) -> str:
         prefix = logical_table.encode("utf-8") + b"\x00"
         for entry in extracted[logical_table]:
             forms.append(prefix + canonical_item_bytes(
-                entry.key, {entry.uri: _encode_payload(entry)}))
+                entry.key, {entry.uri: entry.stored_values}))
     return batch_content_hash(forms)
 
 
@@ -183,12 +194,15 @@ class DynamoIndexStore(IndexStore):
 
         ``uuid`` draws a fresh random key (§6); ``content`` derives the
         key from the content and stamps the checksum attribute, making
-        the write idempotent and scrub-verifiable.
+        the write idempotent and scrub-verifiable.  The canonical form
+        excludes ``#`` attributes, so one canonical byte string feeds
+        both the stamp and the key.
         """
         if self.range_key_mode == "content":
+            canonical = canonical_item_bytes(hash_key, attrs)
             attrs = dict(attrs)
-            attrs[CHECKSUM_ATTR] = (item_checksum(hash_key, attrs),)
-            return DynamoItem(hash_key, content_range_key(hash_key, attrs),
+            attrs[CHECKSUM_ATTR] = (canonical_checksum(canonical),)
+            return DynamoItem(hash_key, canonical_range_key(canonical),
                               attrs)
         return DynamoItem(hash_key, self._uuid(), dict(attrs))
 
@@ -198,56 +212,45 @@ class DynamoIndexStore(IndexStore):
 
     # -- writes -------------------------------------------------------------
 
-    def _entry_items(self, entry: IndexEntry) -> List[DynamoItem]:
-        """Items for one entry, splitting oversized payloads."""
-        values = _encode_payload(entry)
-        attr_bytes = sum(len(v) if isinstance(v, bytes)
-                         else len(v.encode("utf-8")) for v in values)
+    def _entry_items(self, key: str, uri: str,
+                     values: Tuple[Any, ...]) -> List[DynamoItem]:
+        """Items for one stored entry, splitting oversized payloads."""
+        attr_bytes = _values_bytes(values)
         if attr_bytes <= _ITEM_BUDGET:
             if self.range_key_mode == "attribute":
-                return [DynamoItem(hash_key=entry.key, range_key=entry.uri,
-                                   attributes={entry.uri: values})]
-            return [self._finish_item(entry.key, {entry.uri: values})]
+                return [DynamoItem(hash_key=key, range_key=uri,
+                                   attributes={uri: values})]
+            return [self._finish_item(key, {uri: values})]
         # Oversized payload: split across items.
-        items: List[DynamoItem] = []
-        if entry.kind == "ids":
+        chunks: List[Tuple[Any, ...]] = []
+        if isinstance(values[0], bytes):  # one encoded ID list
             parts = attr_bytes // _ITEM_BUDGET + 1
-            for index, chunk in enumerate(_split_ids(entry.ids, parts)):
-                attrs = {entry.uri: (encode_ids(chunk),)}
-                if self.range_key_mode == "attribute":
-                    items.append(DynamoItem(
-                        entry.key, "{}#{}".format(entry.uri, index), attrs))
-                else:
-                    items.append(self._finish_item(entry.key, attrs))
+            chunks = [(encode_ids(chunk),) for chunk in
+                      _split_ids(decode_ids(values[0]), parts)]
         else:  # paths
             chunk: List[str] = []
             size = 0
-            index = 0
-            for path in entry.paths:
+            for path in values:
                 path_bytes = len(path.encode("utf-8"))
                 if chunk and size + path_bytes > _ITEM_BUDGET:
-                    attrs = {entry.uri: tuple(chunk)}
-                    if self.range_key_mode == "attribute":
-                        items.append(DynamoItem(
-                            entry.key, "{}#{}".format(entry.uri, index),
-                            attrs))
-                    else:
-                        items.append(self._finish_item(entry.key, attrs))
+                    chunks.append(tuple(chunk))
                     chunk, size = [], 0
-                    index += 1
                 chunk.append(path)
                 size += path_bytes
             if chunk:
-                attrs = {entry.uri: tuple(chunk)}
-                if self.range_key_mode == "attribute":
-                    items.append(DynamoItem(
-                        entry.key, "{}#{}".format(entry.uri, index), attrs))
-                else:
-                    items.append(self._finish_item(entry.key, attrs))
+                chunks.append(tuple(chunk))
+        items: List[DynamoItem] = []
+        for index, values_chunk in enumerate(chunks):
+            attrs = {uri: values_chunk}
+            if self.range_key_mode == "attribute":
+                items.append(DynamoItem(key, "{}#{}".format(uri, index),
+                                        attrs))
+            else:
+                items.append(self._finish_item(key, attrs))
         return items
 
-    def _pack_items(self, entries: Sequence[IndexEntry]) -> List[DynamoItem]:
-        """Map a batch of entries to items.
+    def _pack_items(self, entries: Sequence[Stored]) -> List[DynamoItem]:
+        """Map a batch of stored entries to items.
 
         In ``uuid`` mode entries sharing a key are *packed* into shared
         items (up to the item budget) — the paper's point about UUIDs
@@ -256,37 +259,40 @@ class DynamoIndexStore(IndexStore):
         """
         if self.range_key_mode == "attribute":
             return [item for entry in entries
-                    for item in self._entry_items(entry)]
-        by_key: Dict[str, List[IndexEntry]] = {}
+                    for item in self._entry_items(entry.key, entry.uri,
+                                                  entry.stored_values)]
+        by_key: Dict[str, List[Tuple[str, Tuple[Any, ...]]]] = {}
         for entry in entries:
-            by_key.setdefault(entry.key, []).append(entry)
+            by_key.setdefault(entry.key, []).append(
+                (entry.uri, entry.stored_values))
         items: List[DynamoItem] = []
         for key in sorted(by_key):
             attrs: Dict[str, Tuple[Any, ...]] = {}
             size = 0
-            for entry in by_key[key]:
-                values = _encode_payload(entry)
-                attr_bytes = (len(entry.uri.encode("utf-8"))
-                              + sum(len(v) if isinstance(v, bytes)
-                                    else len(v.encode("utf-8"))
-                                    for v in values))
+            for uri, values in by_key[key]:
+                attr_bytes = len(uri.encode("utf-8")) + _values_bytes(values)
                 if attr_bytes > _ITEM_BUDGET:
                     # Oversized single entry: dedicated split items.
-                    items.extend(self._entry_items(entry))
+                    items.extend(self._entry_items(key, uri, values))
                     continue
                 if attrs and size + attr_bytes > _ITEM_BUDGET:
                     items.append(self._finish_item(key, attrs))
                     attrs, size = {}, 0
-                attrs[entry.uri] = values
+                attrs[uri] = values
                 size += attr_bytes
             if attrs:
                 items.append(self._finish_item(key, attrs))
         return items
 
     def write_entries(self, physical_name: str,
-                      entries: Sequence[IndexEntry],
+                      entries: Sequence[Stored],
                       ) -> Generator[Any, Any, WriteStats]:
-        """Persist a loader batch; returns write stats."""
+        """Persist a loader batch; returns write stats.
+
+        Reads only each entry's stored form, so compaction can hand
+        over :class:`StoredEntry` triples whose blobs are already
+        encoded.
+        """
         stats = WriteStats()
         items = self._pack_items(entries)
         stats.items = len(items)
@@ -340,7 +346,8 @@ class DynamoIndexStore(IndexStore):
                                               key=lambda nid: nid.pre)
         return merged
 
-    def _verify_items(self, physical_name: str,
+    @staticmethod
+    def _verify_items(physical_name: str,
                       items: Sequence[DynamoItem]) -> None:
         """Check stamped checksums; unstamped (legacy) items pass."""
         for item in items:

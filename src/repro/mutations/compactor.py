@@ -45,10 +45,13 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.consistency.build import BuildCoordinator, BuildPlan
 from repro.errors import BuildStateError
-from repro.indexing.entries import IndexEntry
-from repro.indexing.mapper import DynamoIndexStore, batch_entries_hash
+from repro.indexing.checksums import CHECKSUM_ATTR, META_ATTR_PREFIX
+from repro.indexing.entries import IndexEntry, StoredEntry
+from repro.indexing.mapper import (DynamoIndexStore, Stored,
+                                   batch_entries_hash)
 from repro.mutations.merge import overlay_payloads
 from repro.store.sharding import shard_of, shard_table_names
+from repro.xmldb.encoding import decode_ids
 
 __all__ = ["CompactionPolicy", "CompactionReport", "Compactor"]
 
@@ -299,9 +302,16 @@ class Compactor:
                    ) -> Generator[Any, Any, None]:
         """Fold one (logical table, shard) unit into the new epoch.
 
-        Scan → regroup → overlay-merge → rewrite → ledger-record, all
-        against shard ``shard`` of every layer (key-hash sharding keeps
-        a key in the same shard index across base and deltas).
+        Scan → verify → regroup → overlay-merge → rewrite →
+        ledger-record, all against shard ``shard`` of every layer
+        (key-hash sharding keeps a key in the same shard index across
+        base and deltas).  Every scanned item's stamped checksum is
+        verified first: a corrupt item raises
+        :class:`~repro.errors.IntegrityError` before anything of the
+        unit is written, so the pass commits nothing instead of
+        re-stamping damaged postings with a fresh valid checksum.
+        ID payloads stay encoded through the fold (see
+        :func:`_encoded_payloads`).
         """
         live = self.live
         cloud = self.warehouse.cloud
@@ -323,6 +333,7 @@ class Compactor:
         base_items: List[Any] = []
         for table in base_scan:
             scanned = yield from cloud.resilient.dynamodb.scan(table)
+            DynamoIndexStore._verify_items(table, scanned)
             base_items.extend(scanned)
         report.scanned_items += len(base_items)
         base_groups = _group_by_key(base_items)
@@ -336,33 +347,34 @@ class Compactor:
             if table is None:
                 layer_groups.append(({}, delta.tombstones))
                 continue
+            delta_table = shard_table_names(table, shards)[shard]
             delta_items = yield from cloud.resilient.dynamodb.scan(
-                shard_table_names(table, shards)[shard])
+                delta_table)
+            DynamoIndexStore._verify_items(delta_table, delta_items)
             report.scanned_items += len(delta_items)
             layer_groups.append((_group_by_key(delta_items),
                                  delta.tombstones))
 
+        def payload_map(items: List[Any]) -> Dict[str, Any]:
+            if kind == "ids":
+                return _encoded_payloads(items)
+            return DynamoIndexStore._merge_items(items, kind)
+
         keys = set(base_groups)
         for groups, _ in layer_groups:
             keys.update(groups)
-        entries: List[IndexEntry] = []
+        entries: List[Stored] = []
         for key in sorted(keys):
-            base_map = DynamoIndexStore._merge_items(
-                base_groups.get(key, []), kind)
-            layers = [(DynamoIndexStore._merge_items(groups.get(key, []),
-                                                     kind), tombstones)
+            layers = [(payload_map(groups.get(key, [])), tombstones)
                       for groups, tombstones in layer_groups]
-            payloads = overlay_payloads(base_map, layers)
+            payloads = overlay_payloads(
+                payload_map(base_groups.get(key, [])), layers)
             for uri in sorted(payloads):
-                payload = payloads[uri]
-                if kind == "presence":
-                    entries.append(IndexEntry(key=key, uri=uri))
-                elif kind == "paths":
-                    entries.append(IndexEntry(key=key, uri=uri,
-                                              paths=tuple(payload)))
-                else:
-                    entries.append(IndexEntry(key=key, uri=uri,
-                                              ids=tuple(payload)))
+                if kind == "ids":
+                    entries.append(_fold_ids(key, uri, payloads[uri]))
+                else:  # presence (None) or paths (a tuple)
+                    entries.append(
+                        StoredEntry(key, uri, tuple(payloads[uri] or ())))
         if entries:
             stats = yield from store.write_entries(new_table, entries)
             report.entries_written += len(entries)
@@ -372,6 +384,46 @@ class Compactor:
             report.payload_bytes += stats.payload_bytes
         yield from coordinator.ledger.record(
             unit_id, batch_entries_hash({logical: entries}))
+
+
+def _encoded_payloads(items: List[Any],
+                      ) -> Dict[str, Tuple[List[bytes], bool]]:
+    """One key's ID payloads, left encoded: URI → (blobs, stamped).
+
+    The encoded counterpart of ``DynamoIndexStore._merge_items`` for
+    the ``ids`` kind; ``stamped`` is whether every item carrying the
+    URI has a checksum stamp (verified before the fold).
+    """
+    payloads: Dict[str, Tuple[List[bytes], bool]] = {}
+    for item in items:
+        stamped = CHECKSUM_ATTR in item.attributes
+        for raw_uri, values in item.attributes.items():
+            if raw_uri.startswith(META_ATTR_PREFIX):
+                continue  # bookkeeping (checksums), not a URI
+            base_uri = raw_uri.split("#", 1)[0]
+            blobs, all_stamped = payloads.get(base_uri, ([], True))
+            blobs.extend(values)
+            payloads[base_uri] = (blobs, all_stamped and stamped)
+    return payloads
+
+
+def _fold_ids(key: str, uri: str,
+              payload: Tuple[List[bytes], bool]) -> Stored:
+    """The stored entry for one URI's winning ID payload.
+
+    One blob from a checksum-verified item goes through untouched: the
+    mapper wrote it with ``encode_ids``, which is canonical, and it is
+    strictly sorted by ``pre``, so decode → dedup → sort → re-encode
+    would reproduce it byte for byte.  Split chunks, redelivered
+    duplicates and unstamped items take that decode path.
+    """
+    blobs, stamped = payload
+    if stamped and len(blobs) == 1:
+        return StoredEntry(key, uri, (blobs[0],))
+    decoded = [node_id for blob in blobs for node_id in decode_ids(blob)]
+    return IndexEntry(key=key, uri=uri,
+                      ids=tuple(sorted(set(decoded),
+                                       key=lambda nid: nid.pre)))
 
 
 def _group_by_key(items: List[Any]) -> Dict[str, List[Any]]:

@@ -61,35 +61,80 @@ def encode_ids(ids: Sequence[NodeID]) -> bytes:
 
     Raises :class:`~repro.errors.EncodingError` if the list is not
     strictly sorted by ``pre`` — sortedness is the LUI invariant that
-    lets the twig join skip its sort phase.
+    lets the twig join skip its sort phase.  One-byte varints (values
+    below 128, the common case) are appended inline; longer ones go
+    through :func:`_write_varint`.
     """
     out = bytearray()
-    _write_varint(len(ids), out)
+    append = out.append
+    count = len(ids)
+    if count < 0x80:
+        append(count)
+    else:
+        _write_varint(count, out)
     previous_pre = 0
     for node_id in ids:
-        delta = node_id.pre - previous_pre
+        pre, post, depth = node_id
+        delta = pre - previous_pre
         if delta <= 0:
             raise EncodingError(
                 "IDs must be strictly sorted by pre; got {} after pre={}".format(
                     node_id, previous_pre))
-        _write_varint(delta, out)
-        _write_varint(node_id.post, out)
-        _write_varint(node_id.depth, out)
-        previous_pre = node_id.pre
+        if delta < 0x80:
+            append(delta)
+        else:
+            _write_varint(delta, out)
+        if 0 <= post < 0x80:
+            append(post)
+        else:
+            _write_varint(post, out)
+        if 0 <= depth < 0x80:
+            append(depth)
+        else:
+            _write_varint(depth, out)
+        previous_pre = pre
     return bytes(out)
 
 
 def decode_ids(data: bytes) -> List[NodeID]:
-    """Decode bytes produced by :func:`encode_ids`."""
-    count, pos = _read_varint(data, 0)
+    """Decode bytes produced by :func:`encode_ids`.
+
+    One-byte varints are read inline (the idiom of
+    :func:`repro.xmldb.blocks._decode_columns`); longer ones go through
+    :func:`_read_varint`.
+    """
+    try:
+        count = data[0]
+    except IndexError:
+        raise EncodingError("truncated varint") from None
+    if count < 0x80:
+        pos = 1
+    else:
+        count, pos = _read_varint(data, 0)
     ids: List[NodeID] = []
+    append = ids.append
     pre = 0
-    for _ in range(count):
-        delta, pos = _read_varint(data, pos)
-        post, pos = _read_varint(data, pos)
-        depth, pos = _read_varint(data, pos)
-        pre += delta
-        ids.append(NodeID(pre, post, depth))
+    try:
+        for _ in range(count):
+            delta = data[pos]
+            if delta < 0x80:
+                pos += 1
+            else:
+                delta, pos = _read_varint(data, pos)
+            post = data[pos]
+            if post < 0x80:
+                pos += 1
+            else:
+                post, pos = _read_varint(data, pos)
+            depth = data[pos]
+            if depth < 0x80:
+                pos += 1
+            else:
+                depth, pos = _read_varint(data, pos)
+            pre += delta
+            append(NodeID(pre, post, depth))
+    except IndexError:
+        raise EncodingError("truncated varint") from None
     if pos != len(data):
         raise EncodingError("{} trailing bytes".format(len(data) - pos))
     return ids

@@ -175,3 +175,59 @@ def test_delete_table(cloud, db):
     db.delete_table("idx")
     with pytest.raises(NoSuchTable):
         db.table("idx")
+
+
+def _fresh_size(item):
+    """``size_bytes`` recomputed from the item's current content."""
+    size = len(item.hash_key.encode("utf-8"))
+    if item.range_key is not None:
+        size += len(item.range_key.encode("utf-8"))
+    for name, values in item.attributes.items():
+        size += len(name.encode("utf-8"))
+        size += sum(len(v) if isinstance(v, bytes) else len(v.encode("utf-8"))
+                    for v in values)
+    return size
+
+
+def test_memoised_size_bytes_tracks_content(cloud, db):
+    """The memoised size equals a fresh recomputation at every step:
+    after put, get and scan, and after a bit flip replaces the item."""
+    items = [_item("ename", "u1", uri="été.xml", values=(b"\x01\x02", "x")),
+             _item("ename", "u2", values=("a", "bé")),
+             _item("wgold", "u3", uri="d.xml", values=(b"\x05" * 9,))]
+    for item in items:
+        assert item.size_bytes == _fresh_size(item)  # sized at construction
+
+    def scenario():
+        yield from db.put("idx", items[0])
+        yield from db.batch_put("idx", items[1:])
+        got = yield from db.get("idx", "ename")
+        batch = yield from db.batch_get("idx", ["ename", "wgold"])
+        scanned = yield from db.scan("idx")
+        return got, batch, scanned
+
+    got, batch, scanned = cloud.env.run_process(scenario())
+    for item in got + batch["ename"] + batch["wgold"] + scanned:
+        assert item.size_bytes == _fresh_size(item)
+    assert db.raw_bytes(["idx"]) == sum(_fresh_size(i) for i in items)
+
+    before = db.table("idx").all_items()[0]
+    assert db.corrupt_attribute("idx", before.hash_key, before.range_key,
+                                "été.xml", byte_index=0, bit=7)
+    after = db.table("idx").all_items()[0]
+    assert after is not before  # replaced, never mutated in place
+    assert before.size_bytes == _fresh_size(before)
+    assert after.size_bytes == _fresh_size(after)
+    assert after.attributes["été.xml"][0] == b"\x81\x02"
+    assert db.raw_bytes(["idx"]) == sum(
+        _fresh_size(i) for i in db.table("idx").all_items())
+
+    # A flip inside a text value can change its UTF-8 length (the
+    # flipped byte decodes to U+FFFD); the replacement's size follows.
+    text_item = db.table("idx").all_items()[1]
+    assert db.corrupt_attribute("idx", text_item.hash_key,
+                                text_item.range_key, "doc.xml",
+                                byte_index=0, bit=7)
+    flipped = db.table("idx").all_items()[1]
+    assert flipped.size_bytes == _fresh_size(flipped)
+    assert flipped.size_bytes != text_item.size_bytes

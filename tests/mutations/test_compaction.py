@@ -7,10 +7,14 @@ and a resumed pass replays only the units the compaction ledger is
 missing, rewriting byte-identical items (content-addressed keys).
 """
 
+import hashlib
+
 import pytest
 
 from repro.config import ScaleProfile
 from repro.engine.evaluator import evaluate_query
+from repro.errors import IntegrityError
+from repro.indexing import mapper
 from repro.mutations import CompactionPolicy
 from repro.query.workload import workload_query
 from repro.store import expand_physical
@@ -243,3 +247,111 @@ def test_sequence_numbers_survive_compaction():
                                      config={"loaders": 2})
     assert report.seq == 2  # not 1 again
     assert report.base_epoch == live.record.epoch
+
+
+def checksum_failures(warehouse, built, record):
+    report = warehouse.scrub_index(built, record.name, record.epoch,
+                                   repair=False)
+    return report.checksum_failures
+
+
+def test_compaction_refuses_to_launder_a_corrupt_item():
+    """A bit-flipped base item must not come out re-stamped as valid.
+
+    Folding it would rewrite the damaged postings under a fresh,
+    *valid* checksum, hiding them from every later scrub.  The pass
+    raises instead, commits nothing, and a scrub repair followed by a
+    new pass folds the restored base.
+    """
+    warehouse = Warehouse()
+    warehouse.upload_corpus(generate_corpus(ScaleProfile(documents=40,
+                                                         seed=5)))
+    built, record = warehouse.build_index_checkpointed(
+        "LUI", config={"loaders": 2, "batch_size": 4})
+    live = warehouse.live_index(record.name)
+    table = shard_table_names(record.tables["lui"], record.shards)[0]
+    victim = warehouse.cloud.dynamodb.table(table).all_items()[0]
+    uri = next(name for name in victim.attributes
+               if not name.startswith("#"))
+    assert warehouse.cloud.dynamodb.corrupt_attribute(
+        table, victim.hash_key, victim.range_key, uri, byte_index=1, bit=0)
+    assert checksum_failures(warehouse, built, record) == 1
+
+    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    with pytest.raises(IntegrityError) as caught:
+        warehouse.compact_index(live)
+    assert table in str(caught.value)
+    assert repr(victim.hash_key) in str(caught.value)
+    # Nothing committed: readers keep the old base and its delta.
+    assert live.record.epoch == record.epoch
+    assert [delta.seq for delta in live.deltas] == [1]
+
+    repair = warehouse.scrub_index(built, record.name, record.epoch)
+    assert repair.repaired
+    assert checksum_failures(warehouse, built, record) == 0
+    report = warehouse.compact_index(live)
+    assert report.committed
+    assert live.record.epoch == record.epoch + 1
+    assert live.deltas == []
+    for name in ("q2", "q6"):
+        direct = evaluate_query(workload_query(name),
+                                warehouse.corpus.documents)
+        e = warehouse.run_query(workload_query(name), live)
+        assert e.result_rows == len(direct), name
+
+
+#: The fold below, recorded with the decode → dedup → re-encode fold
+#: that compaction used before it passed stored ID blobs through.
+DECODE_FOLD_DIGEST = (
+    "31115eccc4121ffcc4e8267439582944200fcf76638e7ca7db1988bf297bb93b")
+DECODE_FOLD_LEDGER = {
+    "LUI-e2-cmp-chain": "[1, 2, 3]",
+    "LUI-e2-cmp-lui-s00":
+        "73eec2702308fe172e41ac52f3020d1cdf9d90bdb1b8cb344edb7dfbaeff8b89",
+    "LUI-e2-cmp-lui-s01":
+        "c8188cfc3191ff93a93defd0f8dba26556c483b445fc70724e3fd1cc8e289509",
+}
+DECODE_FOLD_TABLES_SHA256 = (
+    "12bdf3df8270edb8621b1fc527ee2d1102154c8be59e1359dbfd47b064fa1615")
+
+
+def test_encoded_fold_equals_the_decode_fold(monkeypatch):
+    """Passing stored blobs through changes no byte of the new epoch.
+
+    The chain has adds, a delete (tombstones), an update, and split
+    entries (a tiny item budget forces multi-item payloads, which take
+    the decode path); the digest, the unit ledger hashes and every
+    stored item must equal the values the decode fold produced.
+    """
+    monkeypatch.setattr(mapper, "_ITEM_BUDGET", 24)
+    warehouse, live = fresh_live(deployment={"shards": 2})
+    docs = warehouse.corpus.documents
+    warehouse.add_documents(live, make_increment(1), config={"loaders": 2})
+    warehouse.delete_documents(live, [docs[0].uri])
+    warehouse.update_document(live, docs[1].uri,
+                              warehouse.corpus.data[docs[2].uri],
+                              config={"loaders": 1})
+    split = set()
+    for table in live.record.tables.values():
+        for shard_table in shard_table_names(table, 2):
+            seen = set()
+            for item in warehouse.cloud.dynamodb.table(
+                    shard_table).all_items():
+                for name in item.attributes:
+                    if name.startswith("#"):
+                        continue
+                    if (item.hash_key, name) in seen:
+                        split.add((item.hash_key, name))
+                    seen.add((item.hash_key, name))
+    assert split  # the base holds multi-item (split) payloads
+
+    report = warehouse.compact_index(live)
+    assert report.committed
+    assert report.digest == DECODE_FOLD_DIGEST
+    ledger = warehouse.cloud.dynamodb.table(
+        "ldg-{}-e2-cmp".format(live.name.lower())).all_items()
+    assert {item.hash_key: item.attributes["hash"][0]
+            for item in ledger} == DECODE_FOLD_LEDGER
+    snapshot = table_snapshot(warehouse.cloud, live.record.tables, 2)
+    assert hashlib.sha256(repr(snapshot).encode()).hexdigest() \
+        == DECODE_FOLD_TABLES_SHA256

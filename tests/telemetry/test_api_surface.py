@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import json
 import os
@@ -97,3 +98,25 @@ def test_deprecation_gate_reports_an_undocumented_entry(monkeypatch):
     assert len(problems) == 2
     assert all(problem.startswith("gate-probe: ") for problem in problems)
     assert checker.main(["--deprecations"]) == 1
+
+
+def test_cached_property_is_recorded_as_property():
+    """Memoising a property must not read as removing it."""
+    checker = _checker_module()
+
+    class Plain:
+        @property
+        def size(self):
+            return 1
+
+    class Memoised:
+        @functools.cached_property
+        def size(self):
+            return 1
+
+    assert checker._class_surface(Plain) == checker._class_surface(Memoised)
+    assert checker._class_surface(Memoised)["methods"] == {
+        "size": "property"}
+    surface = checker.collect_surface()
+    assert surface["repro.cloud.dynamodb"]["DynamoItem"]["methods"][
+        "size_bytes"] == "property"
